@@ -1012,15 +1012,10 @@ let estimate_cmd =
   in
   (* Sniff the 8-byte magic: raw matrices are mmapped (out-of-core), CSV
      goes through the strict parser. *)
-  let is_raw path =
-    match In_channel.with_open_bin path (fun ic -> really_input_string ic 8) with
-    | magic -> magic = "BGDECAY1"
-    | exception End_of_file -> false
-  in
   let load path =
     or_user_error (fun () ->
-        if is_raw path then Core.Decay.Decay_io.load_raw_mmap path
-        else Core.Decay.Decay_io.load path)
+        let module Io = Core.Decay.Decay_io in
+        if Io.is_raw_file path then Io.load_raw_mmap path else Io.load path)
   in
   let run file kernel nodes replicates confidence samples r seed jobs trace
       profile metrics =

@@ -113,13 +113,16 @@ let load path =
 let raw_magic = "BGDECAY1"
 let raw_header_len = 16
 
+let raw_header n =
+  let hdr = Bytes.create raw_header_len in
+  Bytes.blit_string raw_magic 0 hdr 0 8;
+  Bytes.set_int64_le hdr 8 (Int64.of_int n);
+  Bytes.unsafe_to_string hdr
+
 let save_raw_fn ~n f path =
   if n < 1 then invalid_arg "Decay_io.save_raw_fn: need n >= 1";
   with_atomic_out ~binary:true path (fun oc ->
-      output_string oc raw_magic;
-      let hdr = Bytes.create 8 in
-      Bytes.set_int64_le hdr 0 (Int64.of_int n);
-      output_bytes oc hdr;
+      output_string oc (raw_header n);
       (* One row per write: memory stays O(n) however large the matrix,
          which is what lets [bg generate --raw] emit files far beyond
          RAM for the pay-per-probe geometric constructions. *)
@@ -138,27 +141,83 @@ let save_raw d path =
     (fun i j -> Decay_space.Flat.unsafe_get f ((i * n) + j))
     path
 
+(* The one header check, pure over bytes: [header] is the first bytes of
+   a payload whose total length (header included) is [len].  Nothing
+   proportional to n is computed or allocated before the length agrees,
+   so a header claiming a huge n over a short payload is a cheap [Error]
+   (n * n is never formed unless n <= cells / n). *)
+let raw_node_count ~header ~len =
+  if String.length header < raw_header_len
+     || String.sub header 0 8 <> raw_magic
+  then Error "not a raw decay matrix"
+  else
+    let n = String.get_int64_le header 8 in
+    let payload = Int64.sub len (Int64.of_int raw_header_len) in
+    let cells = Int64.div payload 8L in
+    if n < 1L then Error "invalid node count"
+    else if
+      payload < 0L || Int64.rem payload 8L <> 0L
+      || n > Int64.div cells n
+      || Int64.mul n n <> cells
+    then
+      Error
+        (Printf.sprintf
+           "truncated or oversized payload (%Ld bytes for n = %Ld)" len n)
+    else Ok (Int64.to_int n)
+
+(* In-memory doors to the same bytes, for the serve wire: exactly what
+   [save_raw] writes, and back through the same header check. *)
+let raw_of_rows rows =
+  let n = Array.length rows in
+  if n = 0 then invalid_arg "Decay_io.raw_of_rows: empty matrix";
+  let b = Bytes.create (raw_header_len + (8 * n * n)) in
+  Bytes.blit_string (raw_header n) 0 b 0 raw_header_len;
+  Array.iteri
+    (fun i row ->
+      if Array.length row <> n then
+        invalid_arg
+          (Printf.sprintf
+             "Decay_io.raw_of_rows: row %d has %d cells, expected %d" i
+             (Array.length row) n);
+      let base = raw_header_len + (8 * n * i) in
+      for j = 0 to n - 1 do
+        Bytes.set_int64_le b (base + (8 * j))
+          (Int64.bits_of_float (Array.unsafe_get row j))
+      done)
+    rows;
+  Bytes.unsafe_to_string b
+
+let rows_of_raw s =
+  match
+    raw_node_count ~header:s ~len:(Int64.of_int (String.length s))
+  with
+  | Error _ as e -> e
+  | Ok n ->
+      Ok
+        (Array.init n (fun i ->
+             let row = Array.create_float n in
+             let base = raw_header_len + (8 * n * i) in
+             for j = 0 to n - 1 do
+               Array.unsafe_set row j
+                 (Int64.float_of_bits (String.get_int64_le s (base + (8 * j))))
+             done;
+             row))
+
+let is_raw_file path =
+  match
+    In_channel.with_open_bin path (fun ic -> really_input_string ic 8)
+  with
+  | magic -> magic = raw_magic
+  | exception End_of_file -> false
+
 let read_raw_header path fd =
   let hdr = Bytes.create raw_header_len in
   let got = Unix.read fd hdr 0 raw_header_len in
-  if got <> raw_header_len || Bytes.sub_string hdr 0 8 <> raw_magic then
-    invalid_arg
-      (Printf.sprintf "Decay_io.load_raw: %s is not a raw decay matrix" path);
-  let n64 = Bytes.get_int64_le hdr 8 in
-  let n = Int64.to_int n64 in
-  if n < 0 || Int64.of_int n <> n64 then
-    invalid_arg
-      (Printf.sprintf "Decay_io.load_raw: %s: invalid node count" path);
-  let expected = Int64.add (Int64.of_int raw_header_len)
-      (Int64.mul 8L (Int64.of_int (n * n))) in
   let size = (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size in
-  if size <> expected then
-    invalid_arg
-      (Printf.sprintf
-         "Decay_io.load_raw: %s: truncated or oversized payload (%Ld bytes, \
-          expected %Ld for n = %d)"
-         path size expected n);
-  n
+  match raw_node_count ~header:(Bytes.sub_string hdr 0 got) ~len:size with
+  | Ok n -> n
+  | Error reason ->
+      invalid_arg (Printf.sprintf "Decay_io.load_raw: %s: %s" path reason)
 
 let load_raw ?(validate = true) path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in

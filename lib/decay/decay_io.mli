@@ -89,6 +89,11 @@ val load_raw : ?validate:bool -> string -> Decay_space.t
     @raise Invalid_argument on a bad header, a size mismatch, or (when
     validating) any invalid cell. *)
 
+val is_raw_file : string -> bool
+(** Whether the file at this path starts with the raw format's magic
+    tag; [false] for a file shorter than the tag.
+    @raise Sys_error if the file cannot be opened. *)
+
 val load_raw_mmap : ?validate:bool -> string -> Decay_space.t
 (** Memory-map a raw binary matrix read-only, zero-copy
     ({!Decay_space.of_bigarray}).  [validate] defaults to [false]: the
@@ -97,3 +102,31 @@ val load_raw_mmap : ?validate:bool -> string -> Decay_space.t
     afford to {!load_raw} anyway.  The file must outlive the returned
     space unmodified.
     @raise Invalid_argument on a bad header or a size mismatch. *)
+
+(** {2 The raw format as bytes}
+
+    The same bytes as the file format, in memory: what the serve wire
+    carries (base64-wrapped) for an inline matrix.  The file loaders and
+    the wire decoder share {!raw_node_count}, so there is one format and
+    one header check. *)
+
+val raw_header_len : int
+(** 16: the magic tag and the node count. *)
+
+val raw_node_count : header:string -> len:int64 -> (int, string) result
+(** [raw_node_count ~header ~len] checks a raw payload's header ([header]
+    is its first bytes; only the first {!raw_header_len} are read)
+    against the payload's total length [len] in bytes, header included,
+    and returns the node count.  [Error] names what is wrong: a short or
+    wrong magic tag, a node count below 1, or a length that is not
+    [16 + 8 n{^2}].  Pure and allocation-free in [n], so a header that
+    claims a huge [n] over a short payload costs nothing to refuse. *)
+
+val raw_of_rows : float array array -> string
+(** The raw bytes of a square matrix, exactly as {!save_raw} would write
+    them; cells travel as their bits (NaN payloads and [-0.] included).
+    @raise Invalid_argument if the matrix is empty or not square. *)
+
+val rows_of_raw : string -> (float array array, string) result
+(** Inverse of {!raw_of_rows} through {!raw_node_count}; no cell
+    validation (that is {!Decay_space.of_matrix}'s job). *)

@@ -50,9 +50,9 @@ let parse_literal st word v =
   end
   else fail "bad literal at %d" st.pos
 
-let parse_string_raw st =
-  expect st '"';
-  let b = Buffer.create 16 in
+(* The slow path of [parse_string_raw]: [b] holds the string so far and
+   [st.pos] sits on its first backslash. *)
+let parse_escaped st b =
   let rec go () =
     if st.pos >= String.length st.s then fail "unterminated string";
     let c = st.s.[st.pos] in
@@ -87,6 +87,31 @@ let parse_string_raw st =
     | c -> Buffer.add_char b c; go ()
   in
   go ()
+
+(* A string with no backslash, the common case, is one String.sub of the
+   input, found by scanning to its closing quote.  Only a string that
+   holds an escape goes through a buffer, seeded with the scanned
+   prefix. *)
+let parse_string_raw st =
+  expect st '"';
+  let s = st.s and start = st.pos in
+  let rec stop i =
+    if i >= String.length s then fail "unterminated string"
+    else
+      match String.unsafe_get s i with '"' | '\\' -> i | _ -> stop (i + 1)
+  in
+  let i = stop start in
+  let prefix = String.sub s start (i - start) in
+  if s.[i] = '"' then begin
+    st.pos <- i + 1;
+    prefix
+  end
+  else begin
+    st.pos <- i;
+    let b = Buffer.create (2 * String.length prefix + 16) in
+    Buffer.add_string b prefix;
+    parse_escaped st b
+  end
 
 let parse_number st =
   let start = st.pos in
@@ -180,20 +205,31 @@ let read_file path = In_channel.with_open_text path In_channel.input_all
 
 (* ----------------------------------------------------------- emission *)
 
+(* Most strings (ids, names, base64 payloads) need no escaping and go
+   into the buffer in one blit. *)
+let rec needs_escape s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | '"' | '\\' | '\000' .. '\031' -> true
+  | _ -> needs_escape s (i + 1)
+
 let buf_add_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if needs_escape s 0 then
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+  else Buffer.add_string b s;
   Buffer.add_char b '"'
 
 let buf_add_num b f =

@@ -138,8 +138,7 @@ let generate w =
    request resolves.  The daemon's serve.request subtree then re-parents
    under this exact span when the trace files are merged. *)
 type tracing = {
-  spans : (string, string * int * string) Hashtbl.t;
-      (* id -> (trace_id, root span id, re-rendered request line) *)
+  spans : (string, string * int) Hashtbl.t;  (* id -> (trace_id, root span id) *)
   mutable emitted : int;
 }
 
@@ -154,23 +153,36 @@ let trace_prep requests =
           | Some t -> t.P.trace_id
           | None -> "lg-" ^ r.P.id
         in
-        let span = Obs.alloc_span_id () in
-        let line =
-          P.request_to_string
-            { r with P.trace = Some { P.trace_id = tid; parent_span = span } }
-        in
-        Hashtbl.replace spans r.P.id (tid, span, line))
+        Hashtbl.replace spans r.P.id (tid, Obs.alloc_span_id ()))
       requests;
     Some { spans; emitted = 0 }
   end
 
-let traced_line tr id line =
-  match tr with
-  | None -> line
-  | Some t -> (
-      match Hashtbl.find_opt t.spans id with
-      | Some (_, _, l) -> l
-      | None -> line)
+(* Request lines by id, encoded when first sent (inside the timed run,
+   so reported throughput and latency include the client's own
+   encoding) and kept for retries.  When tracing, a line carries the
+   request's preallocated root span as its parent.  Returns the id
+   membership test and the line lookup. *)
+let line_cache tr requests =
+  let by_id = Hashtbl.create 256 in
+  List.iter (fun r -> Hashtbl.replace by_id r.P.id r) requests;
+  let lines = Hashtbl.create 256 in
+  let encode r =
+    match Option.bind tr (fun t -> Hashtbl.find_opt t.spans r.P.id) with
+    | None -> P.request_to_string r
+    | Some (trace_id, parent_span) ->
+        P.request_to_string
+          { r with P.trace = Some { P.trace_id; parent_span } }
+  in
+  let line_of id =
+    match Hashtbl.find_opt lines id with
+    | Some l -> l
+    | None ->
+        let l = encode (Hashtbl.find by_id id) in
+        Hashtbl.replace lines id l;
+        l
+  in
+  (Hashtbl.mem by_id, line_of)
 
 (* Close a request's root span.  Called at most once per id (answered,
    or given up); ids that never resolve before the driver exits simply
@@ -181,7 +193,7 @@ let trace_finish tr ~id ~start_s ~dur_s ~attempts ~ok =
   | Some t -> (
       match Hashtbl.find_opt t.spans id with
       | None -> ()
-      | Some (tid, span, _) ->
+      | Some (tid, span) ->
           Hashtbl.remove t.spans id;
           t.emitted <- t.emitted + 1;
           ignore
@@ -364,14 +376,8 @@ let drive_inproc ?(window = 32) ?client server requests =
     match client with None -> 0 | Some c -> (Client.config c).Client.max_retries
   in
   let tr = trace_prep requests in
-  let remaining =
-    ref
-      (List.map
-         (fun r -> (r.P.id, traced_line tr r.P.id (P.request_to_string r)))
-         requests)
-  in
-  let lines : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (id, line) -> Hashtbl.replace lines id line) !remaining;
+  let remaining = ref (List.map (fun r -> r.P.id) requests) in
+  let known, line_of = line_cache tr requests in
   let inflight : (string, float) Hashtbl.t = Hashtbl.create 64 in
   let attempts : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let answered : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -392,7 +398,7 @@ let drive_inproc ?(window = 32) ?client server requests =
               (* Not in flight: either a late answer to an id we gave up
                  on, or a corrupted payload whose mangled id still
                  parses.  Never an answer either way. *)
-              if Hashtbl.mem lines id then incr duplicates else incr corrupt
+              if known id then incr duplicates else incr corrupt
           | Some t0 ->
               Hashtbl.remove inflight id;
               Hashtbl.add answered id ();
@@ -406,7 +412,7 @@ let drive_inproc ?(window = 32) ?client server requests =
   let read ~block:_ =
     match !remaining with
     | [] -> if Hashtbl.length inflight = 0 then `Eof else `Nothing
-    | (id, line) :: rest ->
+    | id :: rest ->
         if Hashtbl.length inflight >= window then `Nothing
         else begin
           remaining := rest;
@@ -419,7 +425,7 @@ let drive_inproc ?(window = 32) ?client server requests =
           (* a retry keeps its first-send timestamp for latency *)
           else if not (Hashtbl.mem inflight id) then
             Hashtbl.replace inflight id (Obs.now_s ());
-          `Req (line, handle_line)
+          `Req (line_of id, handle_line)
         end
   in
   (* Batch boundary: every in-flight id predates the batch just replied
@@ -443,7 +449,7 @@ let drive_inproc ?(window = 32) ?client server requests =
         else begin
           incr retries;
           Option.iter Client.count_retry client;
-          remaining := (id, Hashtbl.find lines id) :: !remaining
+          remaining := id :: !remaining
         end)
       lost
   in
@@ -489,14 +495,8 @@ let drive_fds ?(window = 32) ?rate ?client ~req_w ~resp_r requests =
     match client with None -> 0 | Some c -> (Client.config c).Client.max_retries
   in
   let tr = trace_prep requests in
-  let pending =
-    ref
-      (List.map
-         (fun r -> (r.P.id, traced_line tr r.P.id (P.request_to_string r)))
-         requests)
-  in
-  let lines : (string, string) Hashtbl.t = Hashtbl.create 256 in
-  List.iter (fun (id, line) -> Hashtbl.replace lines id line) !pending;
+  let pending = ref (List.map (fun r -> r.P.id) requests) in
+  let _, line_of = line_cache tr requests in
   let out = Buffer.create 65536 in
   let attempt_at : (string, float) Hashtbl.t = Hashtbl.create 256 in
   let first_at : (string, float) Hashtbl.t = Hashtbl.create 256 in
@@ -522,7 +522,7 @@ let drive_fds ?(window = 32) ?rate ?client ~req_w ~resp_r requests =
     if not (Hashtbl.mem first_at id) then Hashtbl.replace first_at id now;
     Hashtbl.replace attempts id
       ((try Hashtbl.find attempts id with Not_found -> 0) + 1);
-    Buffer.add_string out (Hashtbl.find lines id);
+    Buffer.add_string out (line_of id);
     Buffer.add_char out '\n'
   in
   let issue_some () =
@@ -552,7 +552,7 @@ let drive_fds ?(window = 32) ?rate ?client ~req_w ~resp_r requests =
       do
         match !pending with
         | [] -> continue := false
-        | (id, _) :: rest ->
+        | id :: rest ->
             pending := rest;
             incr sent;
             enqueue_line id now

@@ -19,6 +19,10 @@
     response lines (chaos-torn or corrupted) are counted and retried —
     a corrupt payload is never scored as an answer.
 
+    Both drivers encode each request when it is first sent, inside the
+    timed run, and keep its line for retries: reported throughput and
+    latency include the client's own {!Protocol.request_to_string}.
+
     When tracing is on ({!Bg_prelude.Obs.set_trace_file}), both drivers
     preallocate a [client.request] root span id per request, send it on
     the wire as [parent_span], and emit the (backdated) root span when

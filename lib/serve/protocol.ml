@@ -17,12 +17,15 @@
    load watermark.  The flag is omitted when false, so pre-resilience
    response lines parse identically.
 
-   All parsing goes through Obs_tools.Jsonl (floats round-trip via
-   %.17g), so a workload generated from a seed produces bit-identical
-   request lines — and therefore identical space digests — on every
-   run, which is what makes the persistent cache hit across restarts. *)
+   All parsing goes through Obs_tools.Jsonl.  Inline matrices go out as
+   "raw": the base64 of their BGDECAY1 bytes (Decay_io.raw_of_rows), so
+   cells cross the wire as bits.  The "matrix" array of JSON numbers is
+   still read.  Space digests are taken over the cells' bits, so both
+   forms key the same store entries, and the persistent cache hits
+   across restarts whichever form a client sends. *)
 
 module J = Obs_tools.Jsonl
+module Io = Core.Decay.Decay_io
 
 type op =
   | Zeta
@@ -133,16 +136,130 @@ let trace_of_json j =
 
 (* ------------------------------------------------------------ requests *)
 
+(* ---------------------------------------------------- inline matrices *)
+
+(* An inline matrix travels as the base64 of its raw BGDECAY1 bytes
+   (Decay_io.raw_of_rows): 8 bytes of bits per cell, no decimal
+   formatting on the way out and no float parsing on the way in.
+   Standard alphabet, padded (RFC 4648 section 4). *)
+let b64_alphabet =
+  "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+(* Hot loops (a request's cells are most of its bytes) with no closures
+   and no bounds checks past the ones the lengths already guarantee. *)
+let[@inline] sym v = String.unsafe_get b64_alphabet (v land 63)
+let[@inline] byte s i = Char.code (String.unsafe_get s i)
+
+let b64_encode s =
+  let len = String.length s in
+  let out = Bytes.create (4 * ((len + 2) / 3)) in
+  let full = len / 3 in
+  for q = 0 to full - 1 do
+    let i = 3 * q and o = 4 * q in
+    let v = (byte s i lsl 16) lor (byte s (i + 1) lsl 8) lor byte s (i + 2) in
+    Bytes.unsafe_set out o (sym (v lsr 18));
+    Bytes.unsafe_set out (o + 1) (sym (v lsr 12));
+    Bytes.unsafe_set out (o + 2) (sym (v lsr 6));
+    Bytes.unsafe_set out (o + 3) (sym v)
+  done;
+  let rem = len - (3 * full) in
+  if rem > 0 then begin
+    let i = 3 * full and o = 4 * full in
+    let v = (byte s i lsl 16) lor if rem = 2 then byte s (i + 1) lsl 8 else 0 in
+    Bytes.set out o (sym (v lsr 18));
+    Bytes.set out (o + 1) (sym (v lsr 12));
+    Bytes.set out (o + 2) (if rem = 2 then sym (v lsr 6) else '=');
+    Bytes.set out (o + 3) '='
+  end;
+  Bytes.unsafe_to_string out
+
+let b64_value =
+  let t = Array.make 256 (-1) in
+  String.iteri (fun i c -> t.(Char.code c) <- i) b64_alphabet;
+  t
+
+(* The decoded length of a padded base64 string, or [Error] for a length
+   that is not a multiple of 4.  Computed from the text alone, before
+   anything is decoded. *)
+let b64_decoded_length s =
+  let len = String.length s in
+  if len mod 4 <> 0 then Error "space.raw: base64 length is not a multiple of 4"
+  else
+    let pad =
+      if len = 0 || s.[len - 1] <> '=' then 0
+      else if s.[len - 2] = '=' then 2
+      else 1
+    in
+    Ok ((3 * (len / 4)) - pad)
+
+let[@inline] value s i = Array.unsafe_get b64_value (byte s i)
+
+(* Decode the first [out_len] bytes' worth of [s] (whole 4-character
+   groups, so a prefix costs only its own length; [s] must hold them).
+   A character outside the alphabet is an [Error] naming its offset; so
+   is a '=' anywhere but in the place of a byte past [out_len]. *)
+let b64_decode_prefix s out_len =
+  let out = Bytes.create out_len in
+  let full = out_len / 3 in
+  let rec quads q =
+    if q >= full then -1
+    else
+      let i = 4 * q in
+      let a = value s i and b = value s (i + 1) and c = value s (i + 2)
+      and d = value s (i + 3) in
+      if a lor b lor c lor d < 0 then i
+      else begin
+        let w = (a lsl 18) lor (b lsl 12) lor (c lsl 6) lor d in
+        let o = 3 * q in
+        Bytes.unsafe_set out o (Char.unsafe_chr (w lsr 16));
+        Bytes.unsafe_set out (o + 1) (Char.unsafe_chr ((w lsr 8) land 255));
+        Bytes.unsafe_set out (o + 2) (Char.unsafe_chr (w land 255));
+        quads (q + 1)
+      end
+  in
+  let bad_quad = quads 0 in
+  let bad_quad =
+    if bad_quad >= 0 || out_len = 3 * full then bad_quad
+    else begin
+      (* The last group carries one or two bytes; its other places hold
+         padding (or, in a prefix, the next bytes' symbols). *)
+      let i = 4 * full and w = ref 0 and bad = ref (-1) in
+      for k = 0 to 3 do
+        let v = value s (i + k) in
+        if v >= 0 then w := !w lor (v lsl (18 - (6 * k)))
+        else if not (s.[i + k] = '=' && (3 * full) + k - 1 >= out_len) then
+          bad := i
+      done;
+      Bytes.set out (3 * full) (Char.unsafe_chr (!w lsr 16));
+      if (3 * full) + 1 < out_len then
+        Bytes.set out ((3 * full) + 1) (Char.unsafe_chr ((!w lsr 8) land 255));
+      !bad
+    end
+  in
+  if bad_quad < 0 then Ok (Bytes.unsafe_to_string out)
+  else
+    let rec first i = if value s i < 0 then i else first (i + 1) in
+    Error
+      (Printf.sprintf "space.raw: bad base64 character at offset %d"
+         (first bad_quad))
+
+(* Header first: decode only the 16-byte header and check the node count
+   against the length the text decodes to, so a header claiming a huge n
+   over a short payload is refused before its n^2 cells are allocated. *)
+let rows_of_b64 text =
+  let ( let* ) = Result.bind in
+  let raw r = Result.map_error (fun e -> "space.raw: " ^ e) r in
+  let* len = b64_decoded_length text in
+  let* header = b64_decode_prefix text (min len Io.raw_header_len) in
+  let* _n = raw (Io.raw_node_count ~header ~len:(Int64.of_int len)) in
+  let* bytes = b64_decode_prefix text len in
+  raw (Io.rows_of_raw bytes)
+
 let space_to_json = function
   | Inline (name, rows) ->
       J.Obj
         [ ("name", J.Str name);
-          ( "matrix",
-            J.Arr
-              (Array.to_list rows
-              |> List.map (fun row ->
-                     J.Arr (Array.to_list row |> List.map (fun v -> J.Num v))))
-          ) ]
+          ("raw", J.Str (b64_encode (Io.raw_of_rows rows))) ]
   | Csv text -> J.Obj [ ("csv", J.Str text) ]
   | File path -> J.Obj [ ("file", J.Str path) ]
 
@@ -166,9 +283,18 @@ let request_to_json r =
 
 let request_to_string r = J.to_string (request_to_json r)
 
+(* Two inline forms are accepted: "raw" (what every OCaml client sends)
+   and the "matrix" array of JSON numbers, the one form a person can
+   type.  Both give the same cells, so the same digest and answers. *)
 let space_of_json j =
-  match (J.member "matrix" j, J.mem_str "csv" j, J.mem_str "file" j) with
-  | Some (J.Arr rows), _, _ ->
+  let name () = Option.value (J.mem_str "name" j) ~default:"inline" in
+  match
+    (J.member "raw" j, J.member "matrix" j, J.mem_str "csv" j, J.mem_str "file" j)
+  with
+  | Some (J.Str text), _, _, _ ->
+      Result.map (fun rows -> Inline (name (), rows)) (rows_of_b64 text)
+  | Some _, _, _, _ -> Error "space.raw: not a string"
+  | _, Some (J.Arr rows), _, _ ->
       let row_of = function
         | J.Arr cells ->
             cells
@@ -178,13 +304,10 @@ let space_of_json j =
             |> Array.of_list
         | _ -> failwith "space.matrix: row is not an array"
       in
-      let name =
-        Option.value (J.mem_str "name" j) ~default:"inline"
-      in
-      Ok (Inline (name, Array.of_list (List.map row_of rows)))
-  | _, Some text, _ -> Ok (Csv text)
-  | _, _, Some path -> Ok (File path)
-  | _ -> Error "space: need one of matrix / csv / file"
+      Ok (Inline (name (), Array.of_list (List.map row_of rows)))
+  | _, _, Some text, _ -> Ok (Csv text)
+  | _, _, _, Some path -> Ok (File path)
+  | _ -> Error "space: need one of raw / matrix / csv / file"
 
 let int_field name j ~default =
   match J.mem_num name j with

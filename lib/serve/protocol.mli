@@ -9,6 +9,8 @@
 
     Request line shapes:
     {v
+{"id":"r0","op":"zeta","space":{"name":"s",
+ "raw":"QkdERUNBWTECAAAAAAAAAAAAAAAAAAAAAAAAAAAA+D8zMzMzMzPzPwAAAAAAAAAA"}}
 {"id":"r1","op":"zeta","space":{"name":"s","matrix":[[0,1.5],[1.2,0]]}}
 {"id":"r2","op":"gamma","r":4,"space":{"csv":"# name: s\n0,2\n2,0"}}
 {"id":"r3","op":"estimate","nodes":32,"replicates":6,"seed":7,
@@ -32,10 +34,18 @@
     confidence interval.  The flag is omitted when false, so
     pre-resilience response lines parse unchanged.
 
-    Floats are serialized with [%.17g] ({!Obs_tools.Jsonl}), so a
-    workload generated from a seed produces bit-identical request lines
-    — and therefore identical space digests — on every run, which is
-    what makes the persistent cache hit across daemon restarts. *)
+    An inline matrix has two wire forms.  [raw] is the base64 (RFC 4648,
+    padded) of exactly the bytes {!Bg_decay.Decay_io.save_raw} writes:
+    the [BGDECAY1] magic, [n] as a little-endian int64, then the [n{^2}]
+    cells as little-endian float64, row-major.  Cells travel as their
+    bits, with no decimal formatting or parsing.  The JSON [matrix]
+    array is still accepted, since it is the one form a person can
+    type; {!request_to_string} always emits [raw].  Both forms decode to
+    the same {!Inline} value, and the space digest (the cache key) is
+    taken over the cells' bits, so either form hits the same store
+    entries, across daemon restarts too.  The decoder checks the
+    header's [n] against the payload length before allocating, so a
+    short payload claiming a huge [n] is a typed [error]. *)
 
 type op =
   | Zeta
@@ -119,7 +129,10 @@ val response_trace : response -> trace_context option
 (** The trace context echoed on any response variant. *)
 
 val request_to_string : request -> string
-(** One JSONL line (no trailing newline). *)
+(** One JSONL line (no trailing newline); inline matrices go out in the
+    [raw] form.
+    @raise Invalid_argument if an inline matrix is empty or not
+    square. *)
 
 val request_of_string : string -> (request, string) result
 (** Parse one request line; [Error] carries a one-line reason suitable

@@ -171,18 +171,11 @@ let batch_counter = Atomic.make 0
 
 (* ------------------------------------------------------------- compute *)
 
-let is_raw_file path =
-  match
-    In_channel.with_open_bin path (fun ic -> really_input_string ic 8)
-  with
-  | magic -> magic = "BGDECAY1"
-  | exception End_of_file -> false
-
 let resolve_space = function
   | P.Inline (name, rows) -> D.of_matrix ~name rows
   | P.Csv text -> Io.of_csv text
   | P.File path ->
-      if is_raw_file path then Io.load_raw_mmap path else Io.load path
+      if Io.is_raw_file path then Io.load_raw_mmap path else Io.load path
 
 let witness_json (w : Met.witness) =
   J.Obj
@@ -678,6 +671,8 @@ type input =
 
 type io = { read : block:bool -> input; flush : unit -> unit }
 
+(* The id of a line that did not parse as a request, if it is JSON with
+   one. *)
 let error_id line =
   match J.parse line with
   | exception J.Bad _ -> "?"
@@ -700,7 +695,15 @@ let run_loop ?(should_stop = fun () -> false) t io =
     Queue.create ()
   in
   let eof = ref false in
+  (* Answers given at admission (health ops, rejections, parse errors)
+     since the last flush: they must not wait for a batch that may never
+     come. *)
+  let answered_at_admission = ref false in
   let admit line reply =
+    let send reply line =
+      answered_at_admission := true;
+      send reply line
+    in
     match P.request_of_string line with
     | Ok ({ P.op = P.Ping | P.Metrics; _ } as req) ->
         (* Health probes and telemetry scrapes bypass the queue
@@ -720,14 +723,16 @@ let run_loop ?(should_stop = fun () -> false) t io =
           | Some slo ->
               Slo.record slo ~now_s:(Obs.now_s ()) ~latency_s:0. ~ok:false
           | None -> ());
-          let trace =
-            match parsed with Ok req -> req.P.trace | Error _ -> None
+          let id, trace =
+            match parsed with
+            | Ok req -> (req.P.id, req.P.trace)
+            | Error _ -> (error_id line, None)
           in
           send reply
             (P.response_to_string
                (P.Rejected
                   {
-                    id = error_id line;
+                    id;
                     reason =
                       Printf.sprintf "queue full (%d pending)" cfg.max_queue;
                     trace;
@@ -785,6 +790,8 @@ let run_loop ?(should_stop = fun () -> false) t io =
         (List.rev !replies) responses;
       io.flush ()
     end
+    else if !answered_at_admission then io.flush ();
+    answered_at_admission := false
   done;
   io.flush ();
   Option.iter Store.flush cfg.store;
@@ -802,40 +809,103 @@ let run_loop ?(should_stop = fun () -> false) t io =
 (* A nonblocking-capable line reader over a raw fd: select decides
    whether bytes are waiting, an internal buffer splits them into lines.
    (Mixing select with OCaml's buffered channels would lose the bytes
-   already sitting in the channel buffer, hence the raw-fd version.) *)
+   already sitting in the channel buffer, hence the raw-fd version.)
+
+   One buffer, read into directly: unconsumed bytes live in
+   [buf.[start .. stop)], and [buf.[start .. scanned)] is known to hold
+   no newline, so each byte is scanned once however the stream is
+   chunked.  Taking a line copies just that line.  Room for a read is
+   made by sliding the unconsumed tail to the front, and the buffer
+   doubles only when a single line outgrows it, so a line of any length
+   costs time linear in its length. *)
 module Line_reader = struct
   type t = {
     fd : Unix.file_descr;
-    buf : Buffer.t;
-    mutable lines : string list; (* complete lines, oldest first *)
+    mutable buf : Bytes.t;
+    mutable start : int;
+    mutable scanned : int;
+    mutable stop : int;
     mutable closed : bool;
   }
 
-  let create fd = { fd; buf = Buffer.create 4096; lines = []; closed = false }
+  let initial_size = 65536
+  let min_read = 4096
 
-  let pending_partial t = Buffer.length t.buf
+  let create fd =
+    { fd; buf = Bytes.create initial_size; start = 0; scanned = 0; stop = 0;
+      closed = false }
 
-  let split_buffer t =
-    let s = Buffer.contents t.buf in
-    match String.rindex_opt s '\n' with
-    | None -> ()
-    | Some last ->
-        let complete = String.sub s 0 last in
-        let rest = String.sub s (last + 1) (String.length s - last - 1) in
-        Buffer.clear t.buf;
-        Buffer.add_string t.buf rest;
-        t.lines <-
-          t.lines
-          @ (String.split_on_char '\n' complete
-            |> List.filter (fun l -> String.trim l <> ""))
+  let pending_partial t =
+    let rec last_newline i =
+      if i < t.start then t.start
+      else if Bytes.get t.buf i = '\n' then i + 1
+      else last_newline (i - 1)
+    in
+    t.stop - last_newline (t.stop - 1)
+
+  let blank buf a b =
+    let rec go i =
+      i >= b
+      || (match Bytes.unsafe_get buf i with
+         | ' ' | '\t' | '\r' | '\012' -> go (i + 1)
+         | _ -> false)
+    in
+    go a
+
+  (* The first newline at or after [scanned], or -1. *)
+  let find_newline t =
+    let rec find i =
+      if i >= t.stop then -1
+      else if Bytes.unsafe_get t.buf i = '\n' then i
+      else find (i + 1)
+    in
+    find t.scanned
+
+  (* The oldest complete non-blank line, if any; blank lines are
+     consumed and dropped. *)
+  let rec take_line t =
+    let nl = find_newline t in
+    if nl < 0 then begin
+      t.scanned <- t.stop;
+      None
+    end
+    else begin
+      let a = t.start in
+      t.start <- nl + 1;
+      t.scanned <- nl + 1;
+      if blank t.buf a nl then take_line t
+      else Some (Bytes.sub_string t.buf a (nl - a))
+    end
+
+  (* At least [min_read] free bytes after [stop].  An emptied buffer
+     rewinds (and gives back what a long line grew it to); otherwise the
+     unconsumed tail slides to the front, into a buffer at least twice
+     its size, so every byte moved is paid for by as many bytes read. *)
+  let make_room t =
+    if t.start = t.stop then begin
+      t.start <- 0;
+      t.scanned <- 0;
+      t.stop <- 0;
+      if Bytes.length t.buf > initial_size then
+        t.buf <- Bytes.create initial_size
+    end;
+    if Bytes.length t.buf - t.stop < min_read then begin
+      let live = t.stop - t.start in
+      let rec size c = if (2 * live) + min_read > c then size (2 * c) else c in
+      let cap = size (Bytes.length t.buf) in
+      let dst = if cap > Bytes.length t.buf then Bytes.create cap else t.buf in
+      Bytes.blit t.buf t.start dst 0 live;
+      t.buf <- dst;
+      t.scanned <- t.scanned - t.start;
+      t.stop <- live;
+      t.start <- 0
+    end
 
   let read_chunk t =
-    let bytes = Bytes.create 65536 in
-    match Unix.read t.fd bytes 0 (Bytes.length bytes) with
+    make_room t;
+    match Unix.read t.fd t.buf t.stop (Bytes.length t.buf - t.stop) with
     | 0 -> t.closed <- true
-    | n ->
-        Buffer.add_subbytes t.buf bytes 0 n;
-        split_buffer t
+    | n -> t.stop <- t.stop + n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
@@ -845,20 +915,23 @@ module Line_reader = struct
     | _ -> true
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
+  (* Closed with no complete line left to take. *)
+  let exhausted t = t.closed && find_newline t < 0
+
   (* [`Line l | `Nothing | `Eof], never blocking longer than [block]'s
      semantics: block=false polls, block=true waits for input or EOF. *)
   let rec next ~block t =
-    match t.lines with
-    | l :: rest ->
-        t.lines <- rest;
-        `Line l
-    | [] ->
+    match take_line t with
+    | Some l -> `Line l
+    | None ->
         if t.closed then `Eof
         else if readable ~timeout:(if block then -1. else 0.) t then begin
           read_chunk t;
-          if t.lines = [] && not t.closed then
-            if block then next ~block t else `Nothing
-          else next ~block:false t
+          match take_line t with
+          | Some l -> `Line l
+          | None ->
+              if t.closed then `Eof else if block then next ~block t
+              else `Nothing
         end
         else `Nothing
 end
@@ -1011,8 +1084,7 @@ let serve_socket ?max_requests config path =
                       | None -> ()
                       | Some r -> (
                           Line_reader.read_chunk r;
-                          if r.Line_reader.closed && r.Line_reader.lines = []
-                          then drop fd))
+                          if Line_reader.exhausted r then drop fd))
                   ready;
                 go block)
     in
