@@ -3,9 +3,9 @@
    Subcommands:
      bg analyze <file.csv>         full parameter report of a decay matrix
      bg generate <kind> ...        emit a decay matrix (zoo / radio) as CSV
-     bg evolve ...                 mobility trace + incremental re-analysis
+     bg evolve ...                 mobility trace, analysed step by step
      bg capacity <file.csv> ...    run a capacity algorithm on random links
-     bg experiment <id>            run one claim experiment (E1..E28)
+     bg experiment <id>            run one claim experiment (E1..E31)
      bg protocols <file.csv>       run the distributed protocol suite
      bg stats <file.csv>           measurement-style statistics
      bg trace report|flame|diff    analyze a --trace JSONL file offline
@@ -321,7 +321,6 @@ let generate_cmd =
 
 let evolve_cmd =
   let module Evolve = Core.Decay.Evolve in
-  let module Incr = Core.Decay.Incremental in
   let module Met = Core.Decay.Metricity in
   let module J = Obs_tools.Jsonl in
   let steps_arg =
@@ -374,8 +373,8 @@ let evolve_cmd =
       value & opt float 4.
       & info [ "r" ] ~docv:"R"
           ~doc:
-            "Also maintain the fading parameter gamma(R) incrementally \
-             across the trace; 0 disables gamma.")
+            "Also compute the fading parameter gamma(R) at every step; 0 \
+             disables gamma.")
   in
   let env_arg =
     Arg.(
@@ -387,16 +386,6 @@ let evolve_cmd =
              (pure power law on positions) or office (multi-wall radio \
              propagation over a 3x3 drywall floor plan).")
   in
-  let diff_arg =
-    Arg.(
-      value & flag
-      & info [ "differential" ]
-          ~doc:
-            "Differentially test every step: recompute zeta/phi/gamma \
-             from scratch (uncached) and require the incremental results \
-             — values, witnesses and all — to match bit for bit.  Any \
-             mismatch makes the run exit 1.")
-  in
   let out_arg =
     Arg.(
       value
@@ -404,30 +393,17 @@ let evolve_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the JSONL trace to $(docv) instead of stdout.")
   in
-  let witness_eq (a : Met.witness) (b : Met.witness) =
-    a.Met.x = b.Met.x && a.Met.y = b.Met.y && a.Met.z = b.Met.z
-    && Int64.equal
-         (Int64.bits_of_float a.Met.value)
-         (Int64.bits_of_float b.Met.value)
-  in
   let run n steps dt (speed_min, speed_max) (pause_min, pause_max) corr_dist
-      shadow side seed r env differential out jobs timeout trace profile
-      metrics =
+      shadow side seed r env out jobs timeout trace profile metrics =
+    (* Evolve.create validates side, dt, speeds, pauses and the shadow
+       sigma; only what it accepts but this command does not is checked
+       here. *)
     if n < 3 then user_error "--n must be at least 3 (got %d)" n;
     if steps < 0 then user_error "--steps must be non-negative (got %d)" steps;
-    if not (dt > 0. && Float.is_finite dt) then
-      user_error "--dt must be positive (got %g)" dt;
-    if speed_min < 0. || speed_max < speed_min then
-      user_error "--speed needs 0 <= MIN <= MAX (got %g,%g)" speed_min
-        speed_max;
-    if pause_min < 0. || pause_max < pause_min then
-      user_error "--pause needs 0 <= MIN <= MAX (got %g,%g)" pause_min
-        pause_max;
     if not (corr_dist > 0.) then
       user_error "--corr-dist must be positive (got %g)" corr_dist;
-    if shadow < 0. then user_error "--shadow must be non-negative (got %g)" shadow;
-    if not (side > 0.) then user_error "--side must be positive (got %g)" side;
-    if r < 0. then user_error "--r must be non-negative (got %g)" r;
+    if not (Float.is_finite r && r >= 0.) then
+      user_error "--r must be finite and non-negative (got %g)" r;
     let timeout = validate_timeout timeout in
     ignore (apply_jobs jobs);
     apply_obs ~profile trace;
@@ -456,119 +432,69 @@ let evolve_cmd =
               in
               Core.Radio.Churn.evolve ~name:"evolve" ~seed env cfg)
     in
-    let uctx = Core.Decay.Ctx.uncached in
-    let r_opt = if r = 0. then None else Some r in
     let oc = match out with None -> stdout | Some p -> open_out p in
     let emit j =
       output_string oc (J.to_string j);
       output_char oc '\n'
     in
-    let mismatches = ref 0 in
-    let gamma_fields g dg =
-      match (g : Incr.gamma_info option) with
-      | None -> []
-      | Some g ->
-          [ ("gamma", J.Num g.Incr.g_value); ("dgamma", J.Num dg) ]
-    in
-    (* One full uncached recompute; true iff bit-identical to [res]. *)
-    let differential_ok (res : Incr.result) space =
-      witness_eq res.Incr.zeta (Met.zeta_witness ~ctx:uctx space)
-      && witness_eq res.Incr.phi (Met.phi_witness ~ctx:uctx space)
-      &&
-      match (r_opt, res.Incr.gamma) with
-      | None, None -> true
-      | Some r, Some g ->
-          Int64.equal
-            (Int64.bits_of_float g.Incr.g_value)
-            (Int64.bits_of_float (Core.Decay.Fading.gamma ~ctx:uctx space ~r))
-      | _ -> false
+    (* ζ, φ and γ of one snapshot, by the plain kernels under the default
+       ctx: a step that moved nobody leaves the space bit-identical, so
+       its digest hits the memo and no sweep runs. *)
+    let analyse space =
+      ( Met.zeta space,
+        Met.phi space,
+        if r = 0. then None else Some (Core.Decay.Fading.gamma space ~r) )
     in
     Fun.protect
       ~finally:(fun () -> if out <> None then close_out oc)
       (fun () ->
         or_user_error (fun () ->
             with_optional_timeout timeout @@ fun () ->
-            let inc = Incr.create ~ctx:uctx ?r:r_opt (Evolve.space ev) in
-            let res0 = Incr.current inc in
-            let zeta0 = res0.Incr.zeta.Met.value
-            and phi0 = res0.Incr.phi.Met.value in
-            let gamma0 =
-              match res0.Incr.gamma with
-              | Some g -> g.Incr.g_value
-              | None -> 0.
-            in
-            let step_line s k (res : Incr.result) diff =
+            let ((zeta0, phi0, gamma0) as first) = analyse (Evolve.space ev) in
+            let dirty_rows = ref 0 in
+            let step_line s k (zeta, phi, gamma) =
+              let gamma_fields =
+                match (gamma, gamma0) with
+                | Some g, Some g0 ->
+                    [ ("gamma", J.Num g); ("dgamma", J.Num (g -. g0)) ]
+                | _ -> []
+              in
               emit
                 (J.Obj
                    ([ ("type", J.Str "evolve_step"); ("step", J.Num (float_of_int s));
                       ("dirty", J.Num (float_of_int k));
-                      ("zeta", J.Num res.Incr.zeta.Met.value);
-                      ("phi", J.Num res.Incr.phi.Met.value) ]
-                   @ gamma_fields res.Incr.gamma
-                       (match res.Incr.gamma with
-                       | Some g -> g.Incr.g_value -. gamma0
-                       | None -> 0.)
-                   @ [ ("dzeta", J.Num (res.Incr.zeta.Met.value -. zeta0));
-                       ("dphi", J.Num (res.Incr.phi.Met.value -. phi0)) ]
-                   @
-                   match diff with
-                   | None -> []
-                   | Some ok ->
-                       [ ("differential", J.Str (if ok then "ok" else "MISMATCH")) ]))
+                      ("zeta", J.Num zeta); ("phi", J.Num phi) ]
+                   @ gamma_fields
+                   @ [ ("dzeta", J.Num (zeta -. zeta0));
+                       ("dphi", J.Num (phi -. phi0)) ]))
             in
-            let check res space =
-              if not differential then None
-              else begin
-                let ok = differential_ok res space in
-                if not ok then incr mismatches;
-                Some ok
-              end
-            in
-            step_line 0 0 res0 (check res0 (Evolve.space ev));
+            step_line 0 0 first;
             for s = 1 to steps do
               let space, dirty = Evolve.step ev in
-              let res = Incr.step inc ~dirty space in
-              step_line s (Array.length dirty) res (check res space)
+              dirty_rows := !dirty_rows + Array.length dirty;
+              step_line s (Array.length dirty) (analyse space)
             done;
-            let st = Incr.stats inc in
             emit
               (J.Obj
                  [ ("type", J.Str "evolve_summary");
                    ("n", J.Num (float_of_int n));
                    ("steps", J.Num (float_of_int steps));
                    ("seed", J.Num (float_of_int seed));
-                   ("dirty_rows", J.Num (float_of_int st.Incr.dirty_nodes));
-                   ("pairs_full", J.Num (float_of_int st.Incr.pairs_full));
-                   ("pairs_patched", J.Num (float_of_int st.Incr.pairs_patched));
-                   ("triples_swept", J.Num (float_of_int st.Incr.triples_swept));
-                   ("triples_full_equiv", J.Num (float_of_int st.Incr.triples_full));
-                   ("savings_work", J.Num (Incr.savings st));
-                   ("gamma_recomputed", J.Num (float_of_int st.Incr.gamma_recomputed));
-                   ("gamma_total", J.Num (float_of_int st.Incr.gamma_total));
-                   ("differential", J.Bool differential);
-                   ("mismatches", J.Num (float_of_int !mismatches)) ])));
-    finish_obs metrics;
-    if !mismatches > 0 then begin
-      Printf.eprintf
-        "bg evolve: %d differential mismatch(es) — incremental results \
-         differ from full recompute\n%!"
-        !mismatches;
-      exit 1
-    end
+                   ("dirty_rows", J.Num (float_of_int !dirty_rows)) ])));
+    finish_obs metrics
   in
   Cmd.v
     (Cmd.info "evolve"
        ~doc:
          "Simulate a time-varying decay space (random-waypoint mobility \
-          under a correlated shadow-fading field) and maintain \
-          zeta/phi/gamma incrementally across the trace, emitting one \
-          JSONL line per step plus a summary with the sweep-work \
-          savings.  With --differential, every step is checked bit for \
-          bit against a full recompute.")
+          under a correlated shadow-fading field) and analyse every \
+          snapshot: one JSONL line per step with zeta/phi/gamma and their \
+          drift from step 0, then a summary.  A step in which no node \
+          moved reuses the previous step's cached results.")
     Term.(
       const run $ nodes_arg $ steps_arg $ dt_arg $ speed_arg $ pause_arg
       $ corr_arg $ shadow_arg $ side_arg $ seed_arg $ r_arg $ env_arg
-      $ diff_arg $ out_arg $ jobs_arg $ timeout_arg $ trace_arg
+      $ out_arg $ jobs_arg $ timeout_arg $ trace_arg
       $ profile_arg $ metrics_arg)
 
 (* ------------------------------------------------------------ capacity *)
@@ -842,48 +768,11 @@ let bench_cmd =
           ~doc:
             "Include the large-n smoke entries in the regression suite:              exact zeta and phi sweeps at n = 2048 over the ambient pool.              Each sweep takes seconds, so this is opt-in; the gate treats              the extra entries like any other benchmark (a baseline              without them simply passes them).")
   in
-  let evolve_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "evolve" ] ~docv:"FILE"
-          ~doc:
-            "Run the incremental-vs-full report instead: one \
-             Incremental.step over k dirty rows (k in {1, 8, 64}) of an \
-             n-node space against a full uncached zeta+phi recompute, \
-             with wall times and the engine's own sweep-work counters. \
-             Writes the JSON report to $(docv) (e.g. BENCH_evolve.json).")
-  in
-  let evolve_n_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "evolve-n" ] ~docv:"N"
-          ~doc:"Space size for the --evolve report.")
-  in
   let run kernels_only max_n json jobs record history check write_baseline
-      reps large evolve evolve_n trace profile metrics =
+      reps large trace profile metrics =
     ignore kernels_only;
     ignore (apply_jobs jobs);
     apply_obs ~profile trace;
-    match evolve with
-    | Some path ->
-        if evolve_n < 3 then user_error "--evolve-n must be at least 3";
-        let cases =
-          or_user_error (fun () ->
-              Benchkit.Regress.write_evolve_report ~n:evolve_n path)
-        in
-        Printf.printf "evolve report written to %s\n%!" path;
-        finish_obs metrics;
-        (* The O(k n^2) claim is the point of the report: fail loudly if
-           the smallest-k case does not clear a 5x work saving. *)
-        (match cases with
-        | c :: _ when c.Benchkit.Regress.e_savings < 5. ->
-            Printf.eprintf
-              "bg bench --evolve: k=%d work savings %.1fx below the 5x bar\n%!"
-              c.Benchkit.Regress.e_k c.Benchkit.Regress.e_savings;
-            exit 4
-        | _ -> ())
-    | None ->
     if record || check <> None || write_baseline <> None then begin
       (* The regression gate: one suite run serves --record, --check and
          --write-baseline in any combination. *)
@@ -940,7 +829,7 @@ let bench_cmd =
     Term.(
       const run $ kernels_only_arg $ max_n_arg $ json_arg $ jobs_arg
       $ record_arg $ history_arg $ check_arg $ write_baseline_arg $ reps_arg
-      $ large_arg $ evolve_arg $ evolve_n_arg $ trace_arg $ profile_arg
+      $ large_arg $ trace_arg $ profile_arg
       $ metrics_arg)
 
 (* ------------------------------------------------------------- estimate *)

@@ -68,18 +68,30 @@ let mixing ~corr_dist ~delta =
 
 let validate_config c =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
+  let fin = Float.is_finite in
   if c.n <= 0 then bad "Evolve: n must be positive (got %d)" c.n;
-  if not (c.side > 0.) then bad "Evolve: side must be positive (got %g)" c.side;
-  if not (c.dt > 0.) then bad "Evolve: dt must be positive (got %g)" c.dt;
-  if c.speed_min < 0. || c.speed_max < c.speed_min then
-    bad "Evolve: need 0 <= speed_min <= speed_max (got %g, %g)" c.speed_min
-      c.speed_max;
-  if c.pause_min < 0. || c.pause_max < c.pause_min then
-    bad "Evolve: need 0 <= pause_min <= pause_max (got %g, %g)" c.pause_min
-      c.pause_max;
-  if c.shadow_std_db < 0. || c.fade_low_db < 0. || c.fade_high_db < 0. then
-    bad "Evolve: dB sigmas must be non-negative";
-  if not (c.d_min > 0.) then bad "Evolve: d_min must be positive (got %g)" c.d_min
+  if not (fin c.side && c.side > 0.) then
+    bad "Evolve: side must be positive and finite (got %g)" c.side;
+  if not (fin c.dt && c.dt > 0.) then
+    bad "Evolve: dt must be positive and finite (got %g)" c.dt;
+  if not (fin c.speed_min && fin c.speed_max && c.speed_min >= 0.
+          && c.speed_max >= c.speed_min) then
+    bad "Evolve: need finite 0 <= speed_min <= speed_max (got %g, %g)"
+      c.speed_min c.speed_max;
+  if not (fin c.pause_min && fin c.pause_max && c.pause_min >= 0.
+          && c.pause_max >= c.pause_min) then
+    bad "Evolve: need finite 0 <= pause_min <= pause_max (got %g, %g)"
+      c.pause_min c.pause_max;
+  if not (List.for_all (fun s -> fin s && s >= 0.)
+            [ c.shadow_std_db; c.fade_low_db; c.fade_high_db ]) then
+    bad "Evolve: dB sigmas must be finite and non-negative (got %g, %g, %g)"
+      c.shadow_std_db c.fade_low_db c.fade_high_db;
+  if Float.is_nan c.corr_dist then bad "Evolve: corr_dist must not be NaN";
+  if Float.is_nan c.speed_threshold then
+    bad "Evolve: speed_threshold must not be NaN";
+  if not (fin c.alpha) then bad "Evolve: alpha must be finite (got %g)" c.alpha;
+  if not (fin c.d_min && c.d_min > 0.) then
+    bad "Evolve: d_min must be positive and finite (got %g)" c.d_min
 
 let default_base cfg p q =
   Float.max cfg.d_min (Point.dist p q) ** cfg.alpha

@@ -27,8 +27,9 @@
     in a fixed iteration order, and no parallelism is involved: a
     trajectory is bit-reproducible from [(config, seed)] at any job
     count.  The per-step dirty set (nodes that moved) is exactly the set
-    of rows/columns whose cells may differ from the previous step — the
-    contract {!Incremental} relies on. *)
+    of rows/columns whose cells may differ from the previous step; a step
+    with an empty dirty set returns a bit-identical space, so a
+    digest-keyed analysis cache answers it without a sweep. *)
 
 type config = {
   n : int;  (** number of nodes *)
@@ -70,8 +71,10 @@ val create :
     positions in the arena (default: [max d_min (dist p q) ** alpha],
     geometric path loss).  The initial shadow field is drawn at the
     stationary distribution [N(0, shadow_std_db^2)]; fades start at 0.
-    @raise Invalid_argument on a non-positive [n], [dt], [side] or a
-    negative speed/pause/std. *)
+    @raise Invalid_argument on a non-positive [n], [dt], [side] or
+    [d_min], a negative speed/pause/std, [speed_min > speed_max] or
+    [pause_min > pause_max], a non-finite float field, or a NaN
+    [corr_dist] / [speed_threshold] (these two may be [+inf]). *)
 
 val config : t -> config
 
@@ -88,7 +91,8 @@ val step : t -> Decay_space.t * int array
     redraw fades on moving links, rebuild the changed cells.  Returns the
     new space together with the sorted array of {e dirty} nodes (nodes
     that moved this step).  Cells [(i, j)] with both [i] and [j] clean
-    are bit-identical to the previous space's. *)
+    are bit-identical to the previous space's (property-tested by
+    [prop_clean_cells_untouched] in [test/test_evolve.ml]). *)
 
 val mixing : corr_dist:float -> delta:float -> float
 (** The shadow mixing coefficient [exp (-delta / corr_dist)] for a link

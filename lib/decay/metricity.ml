@@ -479,51 +479,6 @@ let zeta_witness ?(ctx = Ctx.default) d =
 
 let zeta ?ctx d = (zeta_witness ?ctx d).value
 
-(* Deprecated optional-argument compat wrappers (see the mli). *)
-let zeta_witness_with ?tol ?jobs ?cache d =
-  zeta_witness ~ctx:(Ctx.make ?tol ?jobs ?cache ()) d
-
-let zeta_with ?tol ?jobs ?cache d =
-  zeta ~ctx:(Ctx.make ?tol ?jobs ?cache ()) d
-
-let zeta_sampled ?(tol = 1e-9) ~samples rng d =
-  let n = Decay_space.n d in
-  if n < 3 then invalid_arg "Metricity.zeta_sampled: need at least 3 nodes";
-  let best = ref 1. in
-  for _ = 1 to samples do
-    let x = Bg_prelude.Rng.int rng n in
-    let y = ref (Bg_prelude.Rng.int rng n) in
-    while !y = x do
-      y := Bg_prelude.Rng.int rng n
-    done;
-    let z = ref (Bg_prelude.Rng.int rng n) in
-    while !z = x || !z = !y do
-      z := Bg_prelude.Rng.int rng n
-    done;
-    let fxy = Decay_space.decay d x !y
-    and fxz = Decay_space.decay d x !z
-    and fzy = Decay_space.decay d !z !y in
-    if fxy > fxz +. fzy && not (triple_holds ~fxy ~fxz ~fzy !best) then begin
-      let v = zeta_triple ~tol fxy fxz fzy in
-      if v > !best then best := v
-    end
-  done;
-  !best
-
-let zeta_subsampled ?tol ?(rounds = 8) ~nodes rng d =
-  let n = Decay_space.n d in
-  if nodes < 3 || nodes > n then
-    invalid_arg "Metricity.zeta_subsampled: need 3 <= nodes <= n";
-  let all = Array.init n Fun.id in
-  let best = ref 1. in
-  for _ = 1 to rounds do
-    let idx = Bg_prelude.Rng.sample rng nodes all in
-    let sub = Decay_space.sub_space d idx in
-    let w = zeta_witness ~ctx:(Ctx.make ?tol ()) sub in
-    if w.value > !best then best := w.value
-  done;
-  !best
-
 let zeta_upper_bound ?jobs d =
   let n = Decay_space.n d in
   if n < 2 then 1.
@@ -726,13 +681,6 @@ let phi_witness ?(ctx = Ctx.default) d =
 
 let phi ?ctx d = (phi_witness ?ctx d).value
 let phi_log ?ctx d = Num.log2 (phi ?ctx d)
-
-(* Deprecated optional-argument compat wrappers (see the mli). *)
-let phi_witness_with ?jobs ?cache d =
-  phi_witness ~ctx:(Ctx.make ?jobs ?cache ()) d
-
-let phi_with ?jobs ?cache d = phi ~ctx:(Ctx.make ?jobs ?cache ()) d
-let phi_log_with ?jobs ?cache d = phi_log ~ctx:(Ctx.make ?jobs ?cache ()) d
 
 (* ----------------------------------------------------- cache management *)
 

@@ -1,18 +1,16 @@
-(* E31 — scheduling under mobility churn (ROADMAP item 1).
+(* E31 — scheduling under mobility churn.
 
-   A 40-step random-waypoint trace over a shadowed geometric base; the
-   incremental engine carries ζ/φ/γ across steps and is differentially
-   checked against uncached full recompute at EVERY step — the experiment
-   fails on the first bit that differs.  On top of the trace: the t=0
-   capacity schedule is re-checked for SINR feasibility each step, and
-   longest-queue-first dynamic scheduling is re-run on the drifted final
-   space. *)
+   A 40-step random-waypoint trace over a shadowed geometric base; ζ, φ
+   and γ are per-snapshot quantities, so each step's space goes through
+   the plain kernels (a step that moved nobody is a digest-keyed memo
+   hit).  On top of the trace: the t=0 capacity schedule is re-checked
+   for SINR feasibility each step, and longest-queue-first dynamic
+   scheduling is re-run on the drifted final space. *)
 
 module T = Core.Prelude.Table
 module Rng = Core.Prelude.Rng
 module Decay = Core.Decay
 module Evolve = Decay.Evolve
-module Incremental = Decay.Incremental
 module Metricity = Decay.Metricity
 module Fading = Decay.Fading
 module I = Core.Sinr.Instance
@@ -22,27 +20,6 @@ module Dynamic = Core.Sched.Dynamic
 
 let steps = 40
 let r_sep = 4.
-let uctx = Decay.Ctx.uncached
-
-let witness_eq (a : Metricity.witness) (b : Metricity.witness) =
-  a.x = b.x && a.y = b.y && a.z = b.z
-  && Int64.equal (Int64.bits_of_float a.value) (Int64.bits_of_float b.value)
-
-(* One full-recompute comparison; returns true when bit-identical. *)
-let differential_ok (res : Incremental.result) space =
-  let zw = Metricity.zeta_witness ~ctx:uctx space in
-  let pw = Metricity.phi_witness ~ctx:uctx space in
-  let g_ok =
-    match res.Incremental.gamma with
-    | None -> false
-    | Some g ->
-        Int64.equal
-          (Int64.bits_of_float g.Incremental.g_value)
-          (Int64.bits_of_float (Fading.gamma ~ctx:uctx space ~r:r_sep))
-  in
-  witness_eq res.Incremental.zeta zw
-  && witness_eq res.Incremental.phi pw
-  && g_ok
 
 let lqf_stable space pairs ~zeta seed =
   let inst = I.make ~zeta space pairs in
@@ -68,17 +45,13 @@ let e31_churn_scheduling () =
     }
   in
   let ev = Evolve.create ~name:"e31" ~seed:3101 cfg in
-  let inc = Incremental.create ~ctx:uctx ~r:r_sep (Evolve.space ev) in
-  let res0 = Incremental.current inc in
-  let zeta0 = res0.Incremental.zeta.Metricity.value in
-  let gamma0 =
-    match res0.Incremental.gamma with Some g -> g.Incremental.g_value | None -> 0.
-  in
+  let space0 = Evolve.space ev in
+  let zeta0 = Metricity.zeta space0 and gamma0 = Fading.gamma space0 ~r:r_sep in
   (* A t=0 workload: links sampled from the initial space, scheduled by
      exact capacity search. *)
   let inst0 =
     I.random_links_in_space ~zeta:zeta0 (Rng.create 3102) ~n_links:8
-      ~max_decay:600. (Evolve.space ev)
+      ~max_decay:600. space0
   in
   let pairs =
     Array.to_list
@@ -92,80 +65,50 @@ let e31_churn_scheduling () =
   in
   let power = Power.uniform 1. in
   let t =
-    T.create ~title:"E31  Churn: incremental analysis + schedule survival under mobility"
-      [ "step"; "dirty"; "zeta"; "phi"; "gamma"; "diff"; "sched ok" ]
+    T.create ~title:"E31  Churn: per-step analysis + schedule survival under mobility"
+      [ "step"; "dirty"; "zeta"; "phi"; "gamma"; "sched ok" ]
   in
-  let row step dirty (res : Incremental.result) diff feas =
-    T.add_row t
-      [
-        T.I step; T.I dirty;
-        T.F res.Incremental.zeta.Metricity.value;
-        T.F res.Incremental.phi.Metricity.value;
-        T.F
-          (match res.Incremental.gamma with
-          | Some g -> g.Incremental.g_value
-          | None -> nan);
-        T.S (if diff then "exact" else "MISMATCH");
-        T.S (if feas then "feasible" else "broken");
-      ]
-  in
-  let mismatches = ref 0 in
   let survival = ref steps in
   let max_dzeta = ref 0. and max_dgamma = ref 0. in
-  let check_feasible space (res : Incremental.result) =
-    let inst_t =
-      I.make ~zeta:res.Incremental.zeta.Metricity.value space pairs
-    in
+  (* One snapshot: ζ/φ/γ on the current space, and whether the t=0
+     schedule is still SINR-feasible there. *)
+  let observe step dirty space =
+    let zeta = Metricity.zeta space in
+    let gamma = Fading.gamma space ~r:r_sep in
+    let inst_t = I.make ~zeta space pairs in
     let links_t =
       List.filter
         (fun l -> List.mem l.Core.Sinr.Link.id sched_ids)
         (Array.to_list inst_t.I.links)
     in
-    Feas.is_feasible inst_t power links_t
+    let feas = Feas.is_feasible inst_t power links_t in
+    if step mod 5 = 0 then
+      T.add_row t
+        [
+          T.I step; T.I dirty; T.F zeta; T.F (Metricity.phi space); T.F gamma;
+          T.S (if feas then "feasible" else "broken");
+        ];
+    (zeta, gamma, feas)
   in
-  let diff0 = differential_ok res0 (Evolve.space ev) in
-  if not diff0 then incr mismatches;
-  row 0 0 res0 diff0 (check_feasible (Evolve.space ev) res0);
+  ignore (observe 0 0 space0);
   for s = 1 to steps do
     let space, dirty = Evolve.step ev in
-    let res = Incremental.step inc ~dirty space in
-    let diff = differential_ok res space in
-    if not diff then incr mismatches;
-    let feas = check_feasible space res in
+    let zeta, gamma, feas = observe s (Array.length dirty) space in
     if (not feas) && !survival = steps then survival := s - 1;
-    max_dzeta :=
-      Float.max !max_dzeta
-        (Float.abs (res.Incremental.zeta.Metricity.value -. zeta0));
-    (match res.Incremental.gamma with
-    | Some g ->
-        max_dgamma :=
-          Float.max !max_dgamma (Float.abs (g.Incremental.g_value -. gamma0))
-    | None -> ());
-    if s mod 5 = 0 then row s (Array.length dirty) res diff feas
+    max_dzeta := Float.max !max_dzeta (Float.abs (zeta -. zeta0));
+    max_dgamma := Float.max !max_dgamma (Float.abs (gamma -. gamma0))
   done;
-  let final = Incremental.current inc in
+  let final = Evolve.space ev in
   let stable0 = lqf_stable inst0.I.space pairs ~zeta:zeta0 3103
-  and stable_t =
-    lqf_stable (Incremental.space inc) pairs
-      ~zeta:final.Incremental.zeta.Metricity.value 3104
-  in
+  and stable_t = lqf_stable final pairs ~zeta:(Metricity.zeta final) 3104 in
   T.print t;
-  let st = Incremental.stats inc in
   Printf.printf
     "drift: max |dzeta| = %.3f, max |dgamma| = %.3f; schedule survived %d/%d \
-     steps; LQF stable t=0: %b, t=%d: %b\n\
-     incremental: %d/%d triples swept (savings %.1fx), gamma recomputed \
-     %d/%d listeners\n%!"
-    !max_dzeta !max_dgamma !survival steps stable0 steps stable_t
-    st.Incremental.triples_swept st.Incremental.triples_full
-    (Incremental.savings st) st.Incremental.gamma_recomputed
-    st.Incremental.gamma_total;
+     steps; LQF stable t=0: %b, t=%d: %b\n%!"
+    !max_dzeta !max_dgamma !survival steps stable0 steps stable_t;
   Outcome.make
     ~measured:(float_of_int !survival)
     ~bound:1.
     ~detail:
-      (Printf.sprintf
-         "steps the t=0 schedule stayed feasible (of %d; %d differential \
-          mismatches; %.1fx sweep savings)"
-         steps !mismatches (Incremental.savings st))
-    (!mismatches = 0 && !survival >= 1 && stable0 && stable_t)
+      (Printf.sprintf "steps the t=0 schedule stayed feasible (of %d)" steps)
+    (!survival >= 1 && stable0 && stable_t)

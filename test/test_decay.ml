@@ -141,7 +141,7 @@ let test_zeta_witness_attains () =
       (Met.zeta_triple fxy fxz fzy)
   end
 
-let test_zeta_sampled_lower_bound () =
+let test_zeta_triples_lower_bound () =
   let d = random_space ~n:10 11 in
   let e = Est.zeta_triples ~samples:2000 (rng 1) (Est.of_space d) in
   check_true "sampled <= exact" (e.Est.point <= Met.zeta d +. 1e-9)
@@ -578,7 +578,7 @@ let suite =
         case "metric: zeta = 1" test_zeta_metric_is_one;
         case "a-priori upper bound" test_zeta_within_upper_bound;
         case "witness attains" test_zeta_witness_attains;
-        case "sampled lower bound" test_zeta_sampled_lower_bound;
+        case "sampled lower bound" test_zeta_triples_lower_bound;
         case "holds_at" test_holds_at;
         case "pow multiplies zeta" test_zeta_pow_scales;
         case "phi on three-point" test_phi_three_point;

@@ -1,10 +1,9 @@
-(* Property tests for the Evolve mobility layer and QCheck differential
-   coverage of Incremental over random dirty-row sets. *)
+(* Property tests for the Evolve mobility layer, its config validation,
+   and job-count determinism of the `bg evolve` trace. *)
 
 module Decay = Core.Decay
 module Decay_space = Decay.Decay_space
 module Evolve = Decay.Evolve
-module Incremental = Decay.Incremental
 
 let cfg ?(n = 10) ?(speed = (0.8, 2.5)) ?(shadow = 4.) () =
   {
@@ -130,58 +129,78 @@ let prop_clean_cells_untouched =
       done;
       !ok)
 
-(* --------------------------------------- Incremental over random dirt *)
+(* -------------------------------------------------- Config validation *)
 
-(* Random dirty-row sets over random asymmetric spaces: one incremental
-   step must match full recompute bit-for-bit at jobs 1 and 4.  The
-   perturbation is a pure function of the pair, so the same next-space is
-   rebuilt identically for every job count. *)
-let prop_random_dirty_rows =
-  Testutil.qcheck ~count:40 "incremental = full over random dirty sets"
-    QCheck.(pair small_nat (int_bound 1000))
-    (fun (seed, salt) ->
-      let n = 6 + (seed mod 9) in
-      let base = Testutil.random_asym_space ~n (seed + 1) in
-      let g = Testutil.rng (seed + (31 * salt)) in
-      let k = 1 + Core.Prelude.Rng.int g n in
-      let dirty =
-        Core.Prelude.Rng.sample g k (Array.init n Fun.id)
-      in
-      let cell i j =
-        (* Deterministic fresh positive cells, decorrelated from base. *)
-        let h = ((i * 73856093) lxor (j * 19349663) lxor (salt * 83492791))
-                land 0xFFFF in
-        0.5 +. (float_of_int h /. 655.36)
-      in
-      let next = Differential.perturb_space base ~dirty ~cell in
-      match Differential.check_one_step ~r:4. base ~dirty next with
-      | [] -> true
-      | errs -> QCheck.Test.fail_report (String.concat "\n" errs))
-
-(* Multi-step churn with gamma on an asymmetric space, moderate n, to
-   shake out stale-table bugs that single steps cannot reach. *)
-let test_multi_step_random_dirt () =
-  let n = 11 in
-  let base = Testutil.random_asym_space ~n 77 in
-  let g = Testutil.rng 78 in
-  let inc =
-    Incremental.create ~ctx:(Differential.ctx_with_jobs 2) ~r:4. base
+(* Every float field must be finite, except corr_dist (+inf: shadows
+   never decorrelate) and speed_threshold (+inf: always the slow-fade
+   sigma), which need only be non-NaN.  A NaN or infinity is refused at
+   create instead of silently freezing nodes, zeroing the shadow field or
+   producing non-finite cells. *)
+let test_non_finite_config_rejected () =
+  let base = cfg () in
+  let fields =
+    [
+      ("side", fun v -> { base with Evolve.side = v });
+      ("dt", fun v -> { base with Evolve.dt = v });
+      ("speed_min", fun v -> { base with Evolve.speed_min = v });
+      ("speed_max", fun v -> { base with Evolve.speed_max = v });
+      ("pause_min", fun v -> { base with Evolve.pause_min = v });
+      ("pause_max", fun v -> { base with Evolve.pause_max = v });
+      ("shadow_std_db", fun v -> { base with Evolve.shadow_std_db = v });
+      ("fade_low_db", fun v -> { base with Evolve.fade_low_db = v });
+      ("fade_high_db", fun v -> { base with Evolve.fade_high_db = v });
+      ("alpha", fun v -> { base with Evolve.alpha = v });
+      ("d_min", fun v -> { base with Evolve.d_min = v });
+    ]
   in
-  let cur = ref base in
-  for s = 1 to 30 do
-    let k = 1 + Core.Prelude.Rng.int g 4 in
-    let dirty = Core.Prelude.Rng.sample g k (Array.init n Fun.id) in
-    let cell i j =
-      0.5 +. Float.abs (sin (float_of_int ((i * 131) + (j * 17) + s))) *. 40.
-    in
-    let next = Differential.perturb_space !cur ~dirty ~cell in
-    let res = Incremental.step inc ~dirty next in
-    (match Differential.mismatches ~r:4. ~label:(Printf.sprintf "s=%d" s)
-             res next with
-    | [] -> ()
-    | errs -> Alcotest.fail (String.concat "\n" errs));
-    cur := next
-  done
+  let rejected c =
+    match Evolve.create ~seed:1 c with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, set) ->
+      List.iter
+        (fun v ->
+          Testutil.check_true
+            (Printf.sprintf "%s = %g rejected" name v)
+            (rejected (set v)))
+        [ Float.nan; Float.infinity; Float.neg_infinity ])
+    fields;
+  Testutil.check_true "corr_dist = nan rejected"
+    (rejected { base with Evolve.corr_dist = Float.nan });
+  Testutil.check_true "speed_threshold = nan rejected"
+    (rejected { base with Evolve.speed_threshold = Float.nan });
+  Testutil.check_true "corr_dist = inf accepted"
+    (not (rejected { base with Evolve.corr_dist = Float.infinity }));
+  Testutil.check_true "speed_threshold = inf accepted"
+    (not (rejected { base with Evolve.speed_threshold = Float.infinity }))
+
+(* ------------------------------------------------------ bg evolve CLI *)
+
+let evolve_stdout jobs =
+  let out = Filename.temp_file "bg_evolve" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command Testutil.bg_exe ~stdin:"/dev/null" ~stdout:out
+             [ "evolve"; "-n"; "16"; "--steps"; "20"; "--seed"; "2026";
+               "-j"; string_of_int jobs ])
+      in
+      Testutil.check_int (Printf.sprintf "exit code at -j %d" jobs) 0 code;
+      In_channel.with_open_bin out In_channel.input_all)
+
+let test_cli_jobs_determinism () =
+  if not (Sys.file_exists Testutil.bg_exe) then Alcotest.skip ()
+  else begin
+    let one = evolve_stdout 1 and four = evolve_stdout 4 in
+    Testutil.check_int "one line per step plus the summary" 22
+      (List.length (String.split_on_char '\n' (String.trim one)));
+    Testutil.check_true "stdout byte-identical at -j 1 and -j 4"
+      (String.equal one four)
+  end
 
 let suite =
   [
@@ -193,8 +212,9 @@ let suite =
         prop_zero_speed_identity;
         prop_seed_determinism;
         prop_clean_cells_untouched;
-        prop_random_dirty_rows;
-        Testutil.case "multi-step random dirty sets (jobs 2)"
-          test_multi_step_random_dirt;
+        Testutil.case "non-finite config fields rejected"
+          test_non_finite_config_rejected;
+        Testutil.case "bg evolve stdout identical at -j 1 and -j 4"
+          test_cli_jobs_determinism;
       ] );
   ]

@@ -30,33 +30,6 @@ let test_analysis_gamma_field () =
       check_float "gamma" 2.5 g
   | _ -> Alcotest.fail "expected one gamma entry"
 
-let test_kernel_compat_wrappers () =
-  (* The historical optional-argument entry points must keep agreeing with
-     the [?ctx] API while they are still exported.  The alert suppression
-     is scoped to exactly these calls; everywhere else a deprecated use is
-     a build error. *)
-  let module Met = Core.Decay.Metricity in
-  let module Fad = Core.Decay.Fading in
-  let module St = Core.Decay.Statistics in
-  let module Ctx = Core.Decay.Ctx in
-  let d = random_asym_space ~n:14 31 in
-  check_float "zeta wrapper"
-    (Met.zeta ~ctx:(Ctx.make ~jobs:2 ~cache:false ()) d)
-    ((Met.zeta_with [@alert "-deprecated"]) ~jobs:2 ~cache:false d);
-  check_true "zeta_witness wrapper"
-    (Met.zeta_witness ~ctx:Ctx.uncached d
-    = (Met.zeta_witness_with [@alert "-deprecated"]) ~cache:false d);
-  check_float "phi wrapper"
-    (Met.phi ~ctx:Ctx.uncached d)
-    ((Met.phi_with [@alert "-deprecated"]) ~cache:false d);
-  check_float "gamma wrapper"
-    (Fad.gamma ~ctx:(Ctx.make ~exact_limit:10 ~cache:false ()) d ~r:2.)
-    ((Fad.gamma_with [@alert "-deprecated"]) ~exact_limit:10 ~cache:false d
-       ~r:2.);
-  check_true "summarize wrapper"
-    (St.summarize ~ctx:(Ctx.make ~jobs:2 ()) d
-    = (St.summarize_with [@alert "-deprecated"]) ~jobs:2 d)
-
 let test_analysis_table_renders () =
   let d = Core.Decay.Spaces.uniform 5 in
   let r = Core.Analysis.run d in
@@ -216,7 +189,6 @@ let suite =
       [
         case "geo report" test_analysis_geo;
         case "gamma field" test_analysis_gamma_field;
-        case "deprecated kernel wrappers" test_kernel_compat_wrappers;
         case "table renders" test_analysis_table_renders;
       ] );
     ( "core.solve",

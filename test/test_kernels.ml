@@ -28,9 +28,30 @@ let witness : Met.witness Alcotest.testable =
 let check_witness = Alcotest.check witness
 let check_exact_float msg a b = check_true msg (Float.equal a b)
 
+(* A mobility trace after a few steps: nodes moved, shadows mixed and
+   fades redrawn on some rows while the clean cells kept their old bits. *)
+let churn_cfg =
+  {
+    Core.Decay.Evolve.default with
+    n = 12;
+    side = 21.;
+    speed_min = 0.5;
+    speed_max = 2.5;
+    pause_min = 0.5;
+    pause_max = 3.;
+    corr_dist = 6.;
+  }
+
+let churned ev =
+  for _ = 1 to 6 do
+    ignore (Core.Decay.Evolve.step ev)
+  done;
+  Core.Decay.Evolve.space ev
+
 (* Every named construction the paper uses, including the tie-heavy ones
    (uniform, grid, star) where strict-improvement combine ordering is the
-   only thing keeping the witness deterministic. *)
+   only thing keeping the witness deterministic, and two churned mobility
+   snapshots (geometric + shadow, office walls + shadow). *)
 let families () =
   [
     ("random-sym", random_space ~n:11 3);
@@ -45,6 +66,13 @@ let families () =
     );
     ( "grid",
       D.of_points ~alpha:2.5 (Sp.grid_points ~rows:3 ~cols:4 ~spacing:2.) );
+    ("evolve-shadow", churned (Core.Decay.Evolve.create ~seed:2026 churn_cfg));
+    ( "churn-office",
+      churned
+        (Core.Radio.Churn.evolve ~seed:9
+           (Core.Radio.Environment.office ~rooms_x:3 ~rooms_y:3 ~room_size:7.
+              Core.Radio.Material.drywall)
+           churn_cfg) );
   ]
 
 let test_zeta_matches_naive () =

@@ -30,7 +30,7 @@ let prop_phi_monotone_under_subspace =
       let idx = Core.Prelude.Rng.sample g 5 (Array.init 8 Fun.id) in
       Met.phi (D.sub_space d idx) <= Met.phi d +. 1e-9)
 
-let prop_zeta_subsampled_lower_bound =
+let prop_zeta_estimate_lower_bound =
   qcheck ~count:25 "subsampled zeta never exceeds exact" QCheck.small_int
     (fun seed ->
       let d = random_space ~n:10 seed in
@@ -229,7 +229,7 @@ let test_process_validation () =
 
 (* --------------------------------------------------- Subsampled metricity *)
 
-let test_zeta_subsampled_finds_concentrated_violation () =
+let test_zeta_estimate_finds_concentrated_violation () =
   (* Embed a three-point violation inside an otherwise metric space:
      node-subsampling finds it once the triple is drawn together. *)
   let base = Core.Decay.Spaces.three_point ~q:1e6 in
@@ -241,7 +241,7 @@ let test_zeta_subsampled_finds_concentrated_violation () =
   let est = Est.zeta ~replicates:60 ~nodes:5 (rng 71) (Est.of_space d) in
   check_true "finds the planted triple" (est.Est.point > 5.)
 
-let test_zeta_subsampled_validation () =
+let test_zeta_estimate_validation () =
   let d = random_space ~n:5 72 in
   Alcotest.check_raises "nodes range"
     (Invalid_argument "zeta_sub: need 3 <= nodes <= n")
@@ -253,13 +253,13 @@ let suite =
       [
         prop_zeta_monotone_under_subspace;
         prop_phi_monotone_under_subspace;
-        prop_zeta_subsampled_lower_bound;
+        prop_zeta_estimate_lower_bound;
         prop_zeta_invariant_under_symmetrize_of_symmetric;
         prop_pow_scales_zeta;
         prop_scale_bounds_zeta_change;
         case "subsample finds planted violation"
-          test_zeta_subsampled_finds_concentrated_violation;
-        case "subsample validation" test_zeta_subsampled_validation;
+          test_zeta_estimate_finds_concentrated_violation;
+        case "subsample validation" test_zeta_estimate_validation;
       ] );
     ( "laws.affectance",
       [

@@ -415,10 +415,6 @@ let test_queue_full_echoes_request () =
   | Some r -> Alcotest.failf "not rejected: %s" (P.response_to_string r)
   | None -> Alcotest.fail "no answer with the request's id"
 
-let bg_exe =
-  List.find_opt Sys.file_exists [ "../bin/bg.exe"; "_build/default/bin/bg.exe" ]
-  |> Option.value ~default:"../bin/bg.exe"
-
 (* Over stdio, what is answered at admission reaches the client while
    stdin is still open, not at the next batch or EOF. *)
 let test_stdio_answers_admission_promptly () =

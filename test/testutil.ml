@@ -34,3 +34,11 @@ let planar_instance ?(n_links = 8) ?(alpha = 3.) ?(side = 20.) seed =
     ~lmax:2.
 
 let ids links = List.sort compare (List.map (fun l -> l.Core.Sinr.Link.id) links)
+
+(* The built CLI.  Under `dune runtest` the cwd is _build/default/test
+   (the test's dep puts the binary one level up); under `dune exec` from
+   the root it is the project root. *)
+let bg_exe =
+  List.find_opt Sys.file_exists
+    [ "../bin/bg.exe"; "_build/default/bin/bg.exe" ]
+  |> Option.value ~default:"../bin/bg.exe"
